@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,20 @@ class RunConfig:
             raise ValueError(f"context_len must be >= 1, got {self.context_len}")
         if not 0.0 <= self.audio_rate <= 1.0:
             raise ValueError(f"audio_rate must lie in [0, 1], got {self.audio_rate}")
-        if self.min_segments < 1 or self.max_segments < self.min_segments:
-            raise ValueError(
-                f"need 1 <= min_segments <= max_segments, got [{self.min_segments}, {self.max_segments}]"
-            )
-        if self.videos_per_cluster < 1:
-            raise ValueError(f"videos_per_cluster must be >= 1, got {self.videos_per_cluster}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.scale_grid or any(s <= 0 for s in self.scale_grid):
-            raise ValueError("scale_grid must be non-empty with positive factors")
+        self.synthesis_config  # built here so SynthesisConfig validates the synthesis fields
+
+    @cached_property
+    def synthesis_config(self) -> synthesis.SynthesisConfig:
+        """The synthesis settings, seeded with the run seed."""
+        return synthesis.SynthesisConfig(
+            min_segments=self.min_segments,
+            max_segments=self.max_segments,
+            scale_grid=self.scale_grid,
+            videos_per_cluster=self.videos_per_cluster,
+            master_seed=self.seed,
+        )
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -135,14 +140,7 @@ def cmd_cluster(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_synthesize(args: argparse.Namespace, config: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     assignment = clustering.load_assignment(args.assignment)
-    synth_config = synthesis.SynthesisConfig(
-        min_segments=config.min_segments,
-        max_segments=config.max_segments,
-        scale_grid=config.scale_grid,
-        videos_per_cluster=config.videos_per_cluster,
-        master_seed=config.seed,
-    )
-    videos = synthesis.build_dataset(corpus, assignment, synth_config)
+    videos = synthesis.build_dataset(corpus, assignment, config.synthesis_config)
     synthesis.write_manifest(videos, args.out)
     skipped = synthesis.count_skipped_clusters(assignment, config.min_segments)
     _emit({"videos": len(videos), "skipped_clusters": skipped}, args.format)

@@ -8,7 +8,6 @@ order clips appear in the corpus file.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -241,11 +241,8 @@ def cluster_stats(corpus: Corpus, assignment: ClusterAssignment) -> dict:
 
 def write_assignment(assignment: ClusterAssignment, path: str | Path) -> None:
     """Write ``{"id", "cluster"}`` JSONL sorted by clip id."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for clip_id in sorted(assignment.assignments):
-            fh.write(json.dumps({"id": clip_id, "cluster": assignment.assignments[clip_id]}))
-            fh.write("\n")
+    clusters = assignment.assignments
+    write_jsonl(path, ({"id": clip_id, "cluster": clusters[clip_id]} for clip_id in sorted(clusters)))
 
 
 def load_assignment(path: str | Path) -> ClusterAssignment:
@@ -254,27 +251,21 @@ def load_assignment(path: str | Path) -> ClusterAssignment:
     ``n_clusters`` is recovered as ``max(cluster) + 1``; no fit diagnostics
     are available for loaded assignments.
     """
-    path = Path(path)
     assignments: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "cluster" not in record:
-                raise ValueError(f"{path}:{lineno}: expected an object with 'id' and 'cluster'")
-            clip_id, cid = record["id"], record["cluster"]
-            if not isinstance(clip_id, str) or not clip_id:
-                raise ValueError(f"{path}:{lineno}: 'id' must be a non-empty string")
-            if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
-                raise ValueError(f"{path}:{lineno}: 'cluster' must be a non-negative int")
-            if clip_id in assignments:
-                raise ValueError(f"{path}:{lineno}: duplicate clip id {clip_id!r}")
-            assignments[clip_id] = cid
+
+    def add(record) -> None:
+        if not isinstance(record, dict) or "id" not in record or "cluster" not in record:
+            raise ValueError("expected an object with 'id' and 'cluster'")
+        clip_id, cid = record["id"], record["cluster"]
+        if not isinstance(clip_id, str) or not clip_id:
+            raise ValueError("'id' must be a non-empty string")
+        if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
+            raise ValueError("'cluster' must be a non-negative int")
+        if clip_id in assignments:
+            raise ValueError(f"duplicate clip id {clip_id!r}")
+        assignments[clip_id] = cid
+
+    read_jsonl(path, add)
     if not assignments:
         raise ValueError(f"{path}: assignment file is empty")
     return ClusterAssignment(assignments=assignments, n_clusters=max(assignments.values()) + 1)

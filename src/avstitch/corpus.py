@@ -9,12 +9,13 @@ sidecar ``.npy`` matrix referenced by row index.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -155,8 +156,9 @@ def load_corpus(path: str | Path, embeddings_path: str | Path | None = None) -> 
 
     Raises:
         ValueError: malformed line, duplicate id, inconsistent embedding
-            dimension, or any per-clip invariant violation; messages carry
-            the 1-based line number.
+            dimension, a non-finite number in the file or the sidecar, or any
+            per-clip invariant violation; messages carry the 1-based line
+            number (the sidecar row, for the sidecar).
         OSError: unreadable file.
     """
     path = Path(path)
@@ -165,21 +167,11 @@ def load_corpus(path: str | Path, embeddings_path: str | Path | None = None) -> 
         sidecar = np.load(embeddings_path)
         if sidecar.ndim != 2:
             raise ValueError(f"sidecar matrix must be 2-D, got shape {sidecar.shape}")
+        bad = np.flatnonzero(~np.isfinite(sidecar).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{embeddings_path}: row {int(bad[0])} holds a non-finite value")
 
-    clips: list[TrimmedClip] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            try:
-                clips.append(_clip_from_record(record, sidecar))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    clips = read_jsonl(path, lambda record: _clip_from_record(record, sidecar))
     try:
         return Corpus.from_clips(clips)
     except ValueError as exc:
@@ -189,9 +181,6 @@ def load_corpus(path: str | Path, embeddings_path: str | Path | None = None) -> 
 def _clip_from_record(record: dict, sidecar: np.ndarray | None) -> TrimmedClip:
     if not isinstance(record, dict):
         raise ValueError("record is not a JSON object")
-    for key in ("id", "duration_s", "caption"):
-        if key not in record:
-            raise ValueError(f"missing required field {key!r}")
     if not isinstance(record["id"], str):
         raise ValueError("field 'id' must be a string")
     if not isinstance(record["caption"], str):
@@ -237,13 +226,13 @@ def _clip_from_record(record: dict, sidecar: np.ndarray | None) -> TrimmedClip:
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as UTF-8 JSONL with LF line endings (inline embeddings)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for clip in corpus.clips:
-            record: dict = {"id": clip.id, "duration_s": clip.duration_s, "caption": clip.caption}
-            if clip.embedding is not None:
-                record["embedding"] = list(clip.embedding)
-            if clip.labels is not None:
-                record["labels"] = list(clip.labels)
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (_clip_row(clip) for clip in corpus.clips))
+
+
+def _clip_row(clip: TrimmedClip) -> dict:
+    row: dict = {"id": clip.id, "duration_s": clip.duration_s, "caption": clip.caption}
+    if clip.embedding is not None:
+        row["embedding"] = list(clip.embedding)
+    if clip.labels is not None:
+        row["labels"] = list(clip.labels)
+    return row

@@ -18,6 +18,7 @@ from math import isfinite
 from pathlib import Path
 
 from .interleave import DEFAULT_CONTEXT_LEN
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -174,12 +175,13 @@ def ap_at(preds: list[Prediction], gts: list[GroundTruth], thr: float) -> float:
         return 0.0
     matched = match_predictions(preds, gts, thr)
     hits = 0
-    ap = 0.0
+    precision_sum = 0.0
     for rank, match in enumerate(matched, start=1):
         if match is not None:
             hits += 1
-            ap += (hits / rank) / len(gts)
-    return ap
+            precision_sum += hits / rank
+    # one division at the end: adding 1/n n times can exceed 1.0 by float noise
+    return precision_sum / len(gts)
 
 
 def evaluate_avedl(
@@ -361,80 +363,48 @@ def parse_response(
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     """Read predictions JSONL; a missing score defaults to 1.0."""
-    path = Path(path)
-    preds: list[Prediction] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                preds.append(
-                    Prediction(
-                        video_id=row["video_id"],
-                        label=row["label"],
-                        start_s=float(row["start_s"]),
-                        end_s=float(row["end_s"]),
-                        score=float(row.get("score", 1.0)),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return preds
+    return read_jsonl(path, _prediction_from_row)
+
+
+def _prediction_from_row(row: dict) -> Prediction:
+    return Prediction(
+        video_id=row["video_id"],
+        label=row["label"],
+        start_s=float(row["start_s"]),
+        end_s=float(row["end_s"]),
+        score=float(row.get("score", 1.0)),
+    )
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruth]:
     """Read ground truth JSONL (prediction schema minus the score)."""
-    path = Path(path)
-    gts: list[GroundTruth] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                gts.append(
-                    GroundTruth(
-                        video_id=row["video_id"],
-                        label=row["label"],
-                        start_s=float(row["start_s"]),
-                        end_s=float(row["end_s"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return gts
+    return read_jsonl(path, _ground_truth_from_row)
+
+
+def _ground_truth_from_row(row: dict) -> GroundTruth:
+    return GroundTruth(
+        video_id=row["video_id"],
+        label=row["label"],
+        start_s=float(row["start_s"]),
+        end_s=float(row["end_s"]),
+    )
 
 
 def write_predictions(preds: list[Prediction], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for pred in preds:
-            row = {
-                "video_id": pred.video_id,
-                "label": pred.label,
-                "start_s": pred.start_s,
-                "end_s": pred.end_s,
-                "score": pred.score,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, ({**_interval_row(pred), "score": pred.score} for pred in preds))
 
 
 def write_ground_truth(gts: list[GroundTruth], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for gt in gts:
-            row = {
-                "video_id": gt.video_id,
-                "label": gt.label,
-                "start_s": gt.start_s,
-                "end_s": gt.end_s,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (_interval_row(gt) for gt in gts))
+
+
+def _interval_row(item: GroundTruth | Prediction) -> dict:
+    return {
+        "video_id": item.video_id,
+        "label": item.label,
+        "start_s": item.start_s,
+        "end_s": item.end_s,
+    }
 
 
 # ------------------------------------------------------------- formatting

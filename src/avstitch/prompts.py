@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import TrimmedClip
 from .interleave import DEFAULT_CONTEXT_LEN
+from .jsonl import read_jsonl, write_jsonl
 from .synthesis import PseudoUntrimmedVideo
 
 logger = logging.getLogger(__name__)
@@ -294,42 +295,31 @@ def gen_audio_pairs(
 
 def write_pairs(pairs: list[QAPair], path: str | Path) -> None:
     """Write pairs as JSONL; the token interval is emitted only when present."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            row: dict = {
-                "video_id": pair.video_id,
-                "kind": pair.kind,
-                "query": pair.query,
-                "response": pair.response,
-            }
-            if pair.tau is not None:
-                row["tau"] = list(pair.tau)
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (_pair_row(pair) for pair in pairs))
+
+
+def _pair_row(pair: QAPair) -> dict:
+    row: dict = {
+        "video_id": pair.video_id,
+        "kind": pair.kind,
+        "query": pair.query,
+        "response": pair.response,
+    }
+    if pair.tau is not None:
+        row["tau"] = list(pair.tau)
+    return row
 
 
 def load_pairs(path: str | Path) -> list[QAPair]:
     """Load pairs written by :func:`write_pairs`."""
-    path = Path(path)
-    pairs: list[QAPair] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                tau = tuple(row["tau"]) if row.get("tau") is not None else None
-                pairs.append(
-                    QAPair(
-                        video_id=row["video_id"],
-                        kind=row["kind"],
-                        query=row["query"],
-                        response=row["response"],
-                        tau=tau,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return pairs
+    return read_jsonl(path, _pair_from_row)
+
+
+def _pair_from_row(row: dict) -> QAPair:
+    return QAPair(
+        video_id=row["video_id"],
+        kind=row["kind"],
+        query=row["query"],
+        response=row["response"],
+        tau=tuple(row["tau"]) if row.get("tau") is not None else None,
+    )

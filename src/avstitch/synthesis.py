@@ -11,7 +11,6 @@ is the whole point: the output manifest pairs each caption with its
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment
 from .corpus import Corpus, TrimmedClip
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -271,28 +271,27 @@ def count_skipped_clusters(assignment: ClusterAssignment, min_segments: int) -> 
 
 def write_manifest(videos: list[PseudoUntrimmedVideo], path: str | Path) -> None:
     """Write one JSONL row per video, sorted by video id."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for video in sorted(videos, key=lambda v: v.id):
-            row = {
-                "id": video.id,
-                "cluster": video.source_cluster,
-                "total_duration_s": video.total_duration_s,
-                "segments": [
-                    {
-                        "clip_id": seg.clip_id,
-                        "scale": seg.scale_factor,
-                        "scaled_duration_s": seg.scaled_duration_s,
-                    }
-                    for seg in video.segments
-                ],
-                "annotations": [
-                    {"caption": ann.caption, "start_s": ann.start_s, "end_s": ann.end_s}
-                    for ann in video.annotations
-                ],
+    write_jsonl(path, (_video_row(video) for video in sorted(videos, key=lambda v: v.id)))
+
+
+def _video_row(video: PseudoUntrimmedVideo) -> dict:
+    return {
+        "id": video.id,
+        "cluster": video.source_cluster,
+        "total_duration_s": video.total_duration_s,
+        "segments": [
+            {
+                "clip_id": seg.clip_id,
+                "scale": seg.scale_factor,
+                "scaled_duration_s": seg.scaled_duration_s,
             }
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
+            for seg in video.segments
+        ],
+        "annotations": [
+            {"caption": ann.caption, "start_s": ann.start_s, "end_s": ann.end_s}
+            for ann in video.annotations
+        ],
+    }
 
 
 def load_manifest(path: str | Path) -> list[PseudoUntrimmedVideo]:
@@ -301,22 +300,7 @@ def load_manifest(path: str | Path) -> list[PseudoUntrimmedVideo]:
     Original clip durations are reconstructed as scaled duration / scale, so
     they may differ from the source corpus values by float rounding.
     """
-    path = Path(path)
-    videos: list[PseudoUntrimmedVideo] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            try:
-                videos.append(_video_from_row(row))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return videos
+    return read_jsonl(path, _video_from_row)
 
 
 def _video_from_row(row: dict) -> PseudoUntrimmedVideo:

@@ -44,6 +44,7 @@ from avstitch.synthesis import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "template_golden.json"
+CLI_GOLDEN_DIR = Path(__file__).parent / "data" / "cli_golden"
 
 
 def _verdict(capsys, name: str, passed: bool, detail: str = "") -> None:
@@ -505,6 +506,10 @@ def test_cli_determinism(tmp_path, capsys):
     outputs["eval"] = [blob.encode() for blob in eval_outs]
 
     mismatched = [name for name, (a, b) in outputs.items() if a != b]
-    ok = not mismatched and len(outputs) == 5
-    _verdict(capsys, "CLI determinism", ok, "5 subcommands rerun byte-identical")
-    assert ok, mismatched
+    # run x must also equal the recorded bytes, so a change to any output fails here
+    golden = {"cluster": "assign.jsonl", "synthesize": "manifest.jsonl", "interleave": "ctx.json",
+              "gen-qa": "pairs.jsonl", "eval": "eval.txt"}
+    drifted = [name for name, (a, _) in outputs.items() if a != (CLI_GOLDEN_DIR / golden[name]).read_bytes()]
+    ok = not mismatched and not drifted and len(outputs) == 5
+    _verdict(capsys, "CLI determinism", ok, "5 subcommands rerun byte-identical and match the golden files")
+    assert ok, (mismatched, drifted)

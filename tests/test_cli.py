@@ -252,6 +252,14 @@ def test_eval_avedl_perfect_table(tmp_path, capsys):
     assert lines[1].split() == ["mAP"] + ["100.0"] * 6
 
 
+def test_eval_perfect_class_of_nine_exits_0(tmp_path, capsys):
+    rows = [{"video_id": f"v{i}", "label": "dog", "start_s": 0.0, "end_s": 10.0} for i in range(9)]
+    gt = write_gt(tmp_path / "gt.jsonl", rows)
+    preds = write_gt(tmp_path / "preds.jsonl", [{**row, "score": 0.9} for row in rows])
+    assert main(["--format", "json", "eval", "--preds", str(preds), "--gt", str(gt)]) == 0
+    assert json.loads(capsys.readouterr().out)["avg_map"] == 1.0
+
+
 def test_eval_vtg_json(tmp_path, capsys):
     gt = write_gt(tmp_path / "gt.jsonl", GT_ROWS)
     preds = write_gt(tmp_path / "preds.jsonl", [{**row, "score": 0.9} for row in GT_ROWS])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ class TestJsonlRoundTrip:
         corpus = load_corpus(path, embeddings_path=tmp_path / "emb.npy")
         assert corpus.clips[0].embedding == (0.0, 1.0)
         assert corpus.clips[1].embedding == (1.0, 0.0)
+
+    def test_sidecar_rejects_non_finite_row(self, tmp_path):
+        sidecar = tmp_path / "emb.npy"
+        np.save(sidecar, np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]]))
+        path = tmp_path / "clips.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "duration_s": 1.0, "caption": "ok", "embedding_row": 0}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar}: row 2 holds a non-finite value")):
+            load_corpus(path, embeddings_path=sidecar)
 
     def test_sidecar_row_out_of_range(self, tmp_path):
         np.save(tmp_path / "emb.npy", np.zeros((2, 2)))

@@ -230,6 +230,13 @@ def test_ap_false_positive_first_halves_precision():
     assert ap_at(preds, gts, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_ap_is_exactly_one_on_perfect_runs():
+    for n in range(1, 201):
+        gts = [GroundTruth(f"v{i}", "a", 0, 10) for i in range(n)]
+        preds = [Prediction(f"v{i}", "a", 0, 10, 1.0) for i in range(n)]
+        assert ap_at(preds, gts, 0.5) == 1.0, n
+
+
 def test_ap_empty_ground_truth_warns_and_returns_zero(caplog):
     with caplog.at_level("WARNING", logger="avstitch.metrics"):
         assert ap_at([Prediction("v", "a", 0, 1, 1.0)], [], 0.5) == 0.0
