@@ -9,6 +9,7 @@ themselves, blank lines skipped on read.  The JSON is strict (RFC 8259):
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Callable, Iterable
 from pathlib import Path
 from typing import NoReturn, TypeVar
@@ -54,18 +55,28 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
-    """Write one JSON line per row.
+    """Write one JSON line per row, replacing ``path`` only once all are written.
+
+    The lines go to a temporary file in the same directory, which is renamed
+    over ``path`` on success and removed on failure.
 
     Raises:
         ValueError: a row holds a non-finite float; the message starts with
-            ``{path}:{lineno}:`` and the lines before it are already written.
+            ``{path}:{lineno}:`` and ``path`` is left as it was.
     """
     path = Path(path)
     encode = _ENCODER.encode
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for lineno, row in enumerate(rows, start=1):
-            try:
-                fh.write(encode(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            fh.write("\n")
+    # a plain open keeps the usual umask-derived mode that the target would get
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for lineno, row in enumerate(rows, start=1):
+                try:
+                    fh.write(encode(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

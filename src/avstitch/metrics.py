@@ -126,39 +126,52 @@ def tiou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return inter / union
 
 
-def _ranked(preds: list[Prediction]) -> list[Prediction]:
-    # descending score; ties by earlier start, then video id
-    return sorted(preds, key=lambda p: (-p.score, p.start_s, p.video_id))
+def _check_threshold(thr: float) -> None:
+    if not 0.0 < thr <= 1.0:
+        raise ValueError(f"threshold must lie in (0, 1], got {thr}")
 
 
-def match_predictions(
-    preds: list[Prediction], gts: list[GroundTruth], thr: float
-) -> list[GroundTruth | None]:
-    """Greedy one-to-one matching in rank order.
+class _ClassMatcher:
+    """Greedy one-to-one matching of one class, prepared once for every threshold.
 
-    Each prediction takes the still-unmatched ground truth in its video with
-    the highest tIoU at or above the threshold.  Ties go to the ground truth
-    that sorts first by (video_id, start_s, end_s).  Returns the matched
-    ground truth (or None) per prediction, in rank order.
+    match(thr) lists the matched ground truth (or None) per prediction in rank
+    order.  Each prediction takes the still-unmatched ground truth in its own
+    video with the highest tIoU >= thr, ties to the first by (video_id, start_s,
+    end_s).  Only same-video pairs are scored: P*g tIoUs for g per video, not P*G.
     """
-    open_gts = sorted(gts, key=lambda g: (g.video_id, g.start_s, g.end_s))
-    taken = [False] * len(open_gts)
-    matches: list[GroundTruth | None] = []
-    for pred in _ranked(preds):
-        best: int | None = None
-        best_iou = 0.0
-        for gi, gt in enumerate(open_gts):
-            if taken[gi] or gt.video_id != pred.video_id:
-                continue
-            iou = tiou(pred.interval, gt.interval)
-            if iou >= thr and iou > best_iou:
-                best, best_iou = gi, iou
-        if best is None:
-            matches.append(None)
-        else:
-            taken[best] = True
-            matches.append(open_gts[best])
-    return matches
+
+    def __init__(self, preds: list[Prediction], gts: list[GroundTruth]) -> None:
+        self.gts = sorted(gts, key=lambda g: (g.video_id, g.start_s, g.end_s))
+        by_video: dict[str, list[int]] = {}
+        for gi, gt in enumerate(self.gts):
+            by_video.setdefault(gt.video_id, []).append(gi)
+        # rank by (-score, start_s, video_id); rows drop tIoU 0 and NaN, which pass no threshold
+        self.rows: list[list[tuple[float, int]]] = []
+        for pred in sorted(preds, key=lambda p: (-p.score, p.start_s, p.video_id)):
+            ious = [(tiou(pred.interval, self.gts[gi].interval), gi) for gi in by_video.get(pred.video_id, ())]
+            self.rows.append(sorted((c for c in ious if c[0] > 0.0), key=lambda c: (-c[0], c[1])))
+
+    def match(self, thr: float) -> list[GroundTruth | None]:
+        taken = [False] * len(self.gts)
+        matches: list[GroundTruth | None] = []
+        for row in self.rows:
+            for iou, gi in row:
+                if iou >= thr and not taken[gi]:
+                    taken[gi] = True
+                    matches.append(self.gts[gi])
+                    break
+            else:
+                matches.append(None)
+        return matches
+
+    def ap(self, thr: float) -> float:
+        hits, precision_sum = 0, 0.0
+        for rank, match in enumerate(self.match(thr), start=1):
+            if match is not None:
+                hits += 1
+                precision_sum += hits / rank
+        # one division at the end: adding 1/n n times can exceed 1.0 by float noise
+        return precision_sum / len(self.gts)
 
 
 def ap_at(preds: list[Prediction], gts: list[GroundTruth], thr: float) -> float:
@@ -168,20 +181,11 @@ def ap_at(preds: list[Prediction], gts: list[GroundTruth], thr: float) -> float:
     contributes precision(k) * 1/n_gt, since recall rises by exactly one
     ground truth there.  No ground truth yields 0 with a warning.
     """
-    if not 0.0 < thr <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {thr}")
+    _check_threshold(thr)
     if not gts:
         logger.warning("ap_at called with empty ground truth; defining AP = 0")
         return 0.0
-    matched = match_predictions(preds, gts, thr)
-    hits = 0
-    precision_sum = 0.0
-    for rank, match in enumerate(matched, start=1):
-        if match is not None:
-            hits += 1
-            precision_sum += hits / rank
-    # one division at the end: adding 1/n n times can exceed 1.0 by float noise
-    return precision_sum / len(gts)
+    return _ClassMatcher(preds, gts).ap(thr)
 
 
 def evaluate_avedl(
@@ -198,21 +202,21 @@ def evaluate_avedl(
     """
     if not gts:
         raise ValueError("ground truth is empty")
+    thresholds = sorted(set(detail_thresholds) | set(avg_thresholds))
+    for thr in thresholds:
+        _check_threshold(thr)
     classes = sorted({gt.label for gt in gts})
     orphans = sorted({p.label for p in preds} - set(classes))
     if orphans:
         logger.info("ignoring %d predicted classes absent from ground truth: %s", len(orphans), orphans)
-    preds_by_class: dict[str, list[Prediction]] = {label: [] for label in classes}
-    gts_by_class: dict[str, list[GroundTruth]] = {label: [] for label in classes}
+    by_class: dict[str, tuple[list[Prediction], list[GroundTruth]]] = {label: ([], []) for label in classes}
     for pred in preds:
-        if pred.label in preds_by_class:
-            preds_by_class[pred.label].append(pred)
+        if pred.label in by_class:
+            by_class[pred.label][0].append(pred)
     for gt in gts:
-        gts_by_class[gt.label].append(gt)
-    map_at: dict[float, float] = {}
-    for thr in sorted(set(detail_thresholds) | set(avg_thresholds)):
-        per_class = [ap_at(preds_by_class[c], gts_by_class[c], thr) for c in classes]
-        map_at[thr] = sum(per_class) / len(per_class)
+        by_class[gt.label][1].append(gt)
+    matchers = [_ClassMatcher(*by_class[c]) for c in classes]
+    map_at = {thr: sum(matcher.ap(thr) for matcher in matchers) / len(matchers) for thr in thresholds}
     return EvalReport(
         map_at=map_at,
         avg_map=sum(map_at[t] for t in avg_thresholds) / len(avg_thresholds),
@@ -367,13 +371,7 @@ def load_predictions(path: str | Path) -> list[Prediction]:
 
 
 def _prediction_from_row(row: dict) -> Prediction:
-    return Prediction(
-        video_id=row["video_id"],
-        label=row["label"],
-        start_s=float(row["start_s"]),
-        end_s=float(row["end_s"]),
-        score=float(row.get("score", 1.0)),
-    )
+    return Prediction(row["video_id"], row["label"], *_finite_interval(row), float(row.get("score", 1.0)))
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruth]:
@@ -382,12 +380,14 @@ def load_ground_truth(path: str | Path) -> list[GroundTruth]:
 
 
 def _ground_truth_from_row(row: dict) -> GroundTruth:
-    return GroundTruth(
-        video_id=row["video_id"],
-        label=row["label"],
-        start_s=float(row["start_s"]),
-        end_s=float(row["end_s"]),
-    )
+    return GroundTruth(row["video_id"], row["label"], *_finite_interval(row))
+
+
+def _finite_interval(row: dict) -> tuple[float, float]:
+    start_s, end_s = float(row["start_s"]), float(row["end_s"])
+    if not (isfinite(start_s) and isfinite(end_s)):
+        raise ValueError(f"interval bounds must be finite, got [{start_s}, {end_s}]")
+    return start_s, end_s
 
 
 def write_predictions(preds: list[Prediction], path: str | Path) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from avstitch.metrics import (
     EvalReport,
     GroundTruth,
     Prediction,
+    _ClassMatcher,
     ap_at,
     evaluate_avedl,
     evaluate_vtg,
@@ -22,7 +24,6 @@ from avstitch.metrics import (
     format_vtg_table,
     load_ground_truth,
     load_predictions,
-    match_predictions,
     parse_response,
     tiou,
     token_span_to_seconds,
@@ -71,6 +72,51 @@ def brute_force_ap(preds, gts, thr):
             hits += 1
             ap += (hits / rank) / len(gts)
     return ap
+
+
+def oracle_match_predictions(preds, gts, thr):
+    """The whole-class O(G*P) greedy matcher, kept as the bit-exact reference."""
+    open_gts = sorted(gts, key=lambda g: (g.video_id, g.start_s, g.end_s))
+    taken = [False] * len(open_gts)
+    matches = []
+    for pred in sorted(preds, key=lambda p: (-p.score, p.start_s, p.video_id)):
+        best = None
+        best_iou = 0.0
+        for gi, gt in enumerate(open_gts):
+            if taken[gi] or gt.video_id != pred.video_id:
+                continue
+            iou = tiou(pred.interval, gt.interval)
+            if iou >= thr and iou > best_iou:
+                best, best_iou = gi, iou
+        if best is None:
+            matches.append(None)
+        else:
+            taken[best] = True
+            matches.append(open_gts[best])
+    return matches
+
+
+def oracle_ap_at(preds, gts, thr):
+    hits = 0
+    precision_sum = 0.0
+    for rank, match in enumerate(oracle_match_predictions(preds, gts, thr), start=1):
+        if match is not None:
+            hits += 1
+            precision_sum += hits / rank
+    return precision_sum / len(gts)
+
+
+def oracle_evaluate_avedl(preds, gts, detail_thresholds, avg_thresholds):
+    """(map_at, avg_map) summed in the same order as evaluate_avedl."""
+    classes = sorted({gt.label for gt in gts})
+    map_at = {}
+    for thr in sorted(set(detail_thresholds) | set(avg_thresholds)):
+        per_class = [
+            oracle_ap_at([p for p in preds if p.label == c], [g for g in gts if g.label == c], thr)
+            for c in classes
+        ]
+        map_at[thr] = sum(per_class) / len(per_class)
+    return map_at, sum(map_at[t] for t in avg_thresholds) / len(avg_thresholds)
 
 
 def brute_force_map(preds, gts, thr):
@@ -178,7 +224,7 @@ def test_match_prefers_highest_overlap():
     pred = Prediction("v", "a", 0, 10, 1.0)
     close = GroundTruth("v", "a", 1, 10)
     far = GroundTruth("v", "a", 4, 10)
-    matches = match_predictions([pred], [far, close], thr=0.5)
+    matches = _ClassMatcher([pred], [far, close]).match(thr=0.5)
     assert matches == [close]
 
 
@@ -187,19 +233,19 @@ def test_match_tie_breaks_by_sorted_ground_truth():
     pred = Prediction("v", "a", 0, 10, 1.0)
     left = GroundTruth("v", "a", 0, 5)
     right = GroundTruth("v", "a", 5, 10)
-    assert match_predictions([pred], [right, left], thr=0.4) == [left]
+    assert _ClassMatcher([pred], [right, left]).match(thr=0.4) == [left]
 
 
 def test_match_respects_video_boundaries():
     pred = Prediction("v1", "a", 0, 10, 1.0)
     other_video = GroundTruth("v2", "a", 0, 10)
-    assert match_predictions([pred], [other_video], thr=0.5) == [None]
+    assert _ClassMatcher([pred], [other_video]).match(thr=0.5) == [None]
 
 
 def test_match_consumes_ground_truth_once():
     preds = [Prediction("v", "a", 0, 10, 0.9), Prediction("v", "a", 0, 10, 0.8)]
     gt = GroundTruth("v", "a", 0, 10)
-    assert match_predictions(preds, [gt], thr=0.5) == [gt, None]
+    assert _ClassMatcher(preds, [gt]).match(thr=0.5) == [gt, None]
 
 
 # --------------------------------------------------------------------- AP
@@ -275,7 +321,7 @@ def test_ap_score_monotonicity():
         class_gts = [g for g in gts if g.label == label]
         if not class_preds:
             continue
-        matches = match_predictions(class_preds, class_gts, 0.5)
+        matches = _ClassMatcher(class_preds, class_gts).match(0.5)
         matched_idx = [i for i, m in enumerate(matches) if m is not None]
         if not matched_idx:
             continue
@@ -362,6 +408,75 @@ def test_avedl_matches_brute_force_on_random_instances():
             DEFAULT_AVG_THRESHOLDS
         )
         assert report.avg_map == pytest.approx(want_avg, abs=1e-9)
+
+
+def grid_instance(rng, n_videos, n_labels, n_gts, n_preds):
+    """Integer-grid intervals over many videos: tIoU ties, duplicate ground
+    truths, tied scores and starts, and tIoU exactly at a threshold."""
+    videos = [f"v{i}" for i in range(n_videos)]
+    labels = [f"c{i}" for i in range(n_labels)]
+
+    def interval():
+        start = int(rng.integers(0, 12))
+        return float(start), float(start + int(rng.integers(1, 7)))
+
+    gts = []
+    while len(gts) < n_gts:
+        video, label = videos[rng.integers(n_videos)], labels[rng.integers(len(labels))]
+        for _ in range(int(rng.integers(1, 5))):  # several per (video, class)
+            if gts and rng.random() < 0.15:
+                gts.append(GroundTruth(video, label, gts[-1].start_s, gts[-1].end_s))
+            else:
+                gts.append(GroundTruth(video, label, *interval()))
+    preds = []
+    for _ in range(n_preds):
+        if rng.random() < 0.6:
+            base = gts[rng.integers(len(gts))]
+            video, label = base.video_id, base.label
+        else:
+            video, label = videos[rng.integers(n_videos)], labels[rng.integers(len(labels))]
+        score = float(rng.integers(0, 5)) / 4  # few distinct scores: many ties
+        preds.append(Prediction(video, label, *interval(), score))
+    return preds, gts
+
+
+def test_avedl_bit_identical_to_whole_class_matcher():
+    rng = np.random.default_rng(4242)
+    detail = (0.25, 1 / 3, 0.5, 2 / 3, 1.0)  # tIoU values the integer grid hits exactly
+    # twelve classes make a pairwise (np.sum) class mean differ from the sequential one
+    sizes = [(1, 1, 3, 8), (2, 4, 10, 40), (60, 12, 200, 400), (25, 4, 120, 2000), (60, 12, 600, 1200)]
+    for _ in range(60):
+        n_videos, n_labels = int(rng.integers(1, 61)), int(rng.choice([1, 4, 12]))
+        sizes.append((n_videos, n_labels, int(rng.integers(1, 80)), int(rng.integers(0, 150))))
+    for size in sizes:
+        preds, gts = grid_instance(rng, *size)
+        report = evaluate_avedl(preds, gts, detail, DEFAULT_AVG_THRESHOLDS)
+        want_map_at, want_avg = oracle_evaluate_avedl(preds, gts, detail, DEFAULT_AVG_THRESHOLDS)
+        assert report.map_at == want_map_at, size
+        assert report.avg_map == want_avg, size
+        label = gts[0].label
+        class_preds, class_gts = [p for p in preds if p.label == label], [g for g in gts if g.label == label]
+        assert ap_at(class_preds, class_gts, 0.5) == oracle_ap_at(class_preds, class_gts, 0.5)
+
+
+def test_avedl_scales_with_ground_truth_per_video():
+    # 20k ground truths and 20k predictions over 5k videos: the whole-class
+    # matcher needs about 40 s on a 2-vCPU VM, the per-video one under 0.5 s
+    rng = np.random.default_rng(99)
+    n = 20_000
+    gts, preds = [], []
+    for i in range(n):
+        video, label = f"v{i % 5000:04d}", f"c{int(rng.integers(6))}"
+        start = float(rng.uniform(0, 100))
+        gts.append(GroundTruth(video, label, start, start + float(rng.uniform(1, 20))))
+        jitter = float(rng.uniform(-2, 2))
+        preds.append(Prediction(video, label, start + jitter, start + jitter + 10.0, float(rng.random())))
+    began = time.perf_counter()
+    report = evaluate_avedl(preds, gts)
+    elapsed = time.perf_counter() - began
+    assert report.n_videos == 5000 and report.n_predictions == n
+    assert 0.0 < report.map_at[0.5] < 1.0
+    assert elapsed < 5.0, f"evaluate_avedl took {elapsed:.2f}s at G = P = {n}"
 
 
 # --------------------------------------------------------------------- VTG

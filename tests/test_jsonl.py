@@ -84,6 +84,23 @@ def test_writer_rejects_non_finite_float(tmp_path, write, records):
     path = tmp_path / "out.jsonl"
     with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
         write(records, path)
+    assert list(tmp_path.iterdir()) == []  # no partial output, no temporary file
+    path.write_bytes(b"old contents\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+        write(records, path)
+    assert path.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("token", ["-1e999", '"-inf"'])
+@pytest.mark.parametrize("kind", ["predictions", "ground_truth"])
+def test_interval_loader_rejects_non_finite_bound(tmp_path, kind, token):
+    # an overflowing literal and a float() string both decode to -inf
+    loader, row, valid = LOADER_ROWS[kind]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text((row % 0).replace("@", valid) + "\n\n" + (row % 1).replace("@", token) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:3: interval bounds must be finite")):
+        loader(bad)
 
 
 def test_assignment_writes_non_ascii_ids_as_utf8(tmp_path):
@@ -116,3 +133,14 @@ def test_cli_eval_rejects_negative_infinite_start(tmp_path, caplog):
         code = main(["eval", "--preds", str(preds), "--gt", str(gt)])
     assert code == 1
     assert f"{gt}:1: -Infinity is not valid JSON" in caplog.text
+
+
+def test_cli_eval_rejects_overflowing_start(tmp_path, caplog):
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text('{"video_id": "v", "label": "a", "start_s": -1e999, "end_s": 1.0}\n', encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"video_id": "v", "label": "a", "start_s": 0.0, "end_s": 1.0}\n', encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="avstitch.cli"):
+        code = main(["eval", "--preds", str(preds), "--gt", str(gt)])
+    assert code == 1
+    assert f"{gt}:1: interval bounds must be finite" in caplog.text
