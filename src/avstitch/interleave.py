@@ -11,15 +11,13 @@ preserved, so the two streams stay aligned against the shared timeline.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CONTEXT_LEN = 100
 DEFAULT_AUDIO_RATE = 0.25
@@ -80,19 +78,42 @@ class SlotPattern(NamedTuple):
     videos_per_audio: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterleavedContext:
-    """Fixed-length merged token sequence with per-slot provenance."""
+    """Fixed-length context: the slot pattern plus each modality's resampled rows.
+
+    ``video`` and ``audio`` are ``(n, d)`` matrices in temporal order (widths
+    may differ), or None for a modality without slots.  They are held by
+    reference and must not be mutated.  ``tokens`` is derived on first access.
+    """
 
     length: int
     audio_rate: float
     videos_per_audio: int | None
     pattern: tuple[str, ...]
-    tokens: tuple[ContextToken, ...]
+    video: np.ndarray | None
+    audio: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if len(self.pattern) != self.length or len(self.tokens) != self.length:
-            raise ValueError("pattern and tokens must both have exactly `length` entries")
+        if len(self.pattern) != self.length or not {VIDEO, AUDIO}.issuperset(self.pattern):
+            raise ValueError(f"pattern needs `length` = {self.length} entries, each {VIDEO!r} or {AUDIO!r}")
+        for modality, rows in ((VIDEO, self.video), (AUDIO, self.audio)):
+            n_rows, n_slots = 0 if rows is None else len(rows), self.pattern.count(modality)
+            if n_rows != n_slots:
+                raise ValueError(f"pattern has {n_slots} {modality} slots but {n_rows} {modality} rows")
+
+    @cached_property
+    def tokens(self) -> tuple[ContextToken, ...]:
+        """One token per slot; ``source_index`` is the 1-based rank within its modality."""
+        rows = {VIDEO: self.video, AUDIO: self.audio}
+        ranked = {m: iter(enumerate(map(tuple, r.tolist()), 1)) for m, r in rows.items() if r is not None}
+        return tuple(ContextToken(m, *next(ranked[m])) for m in self.pattern)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InterleavedContext):
+            return NotImplemented
+        keys = ("length", "audio_rate", "videos_per_audio", "pattern", "tokens")
+        return all(getattr(self, k) == getattr(other, k) for k in keys)
 
     def subsequence(self, modality: str) -> list[ContextToken]:
         """Tokens of one modality in context order."""
@@ -160,50 +181,34 @@ def interleave(
     length: int = DEFAULT_CONTEXT_LEN,
     audio_rate: float = DEFAULT_AUDIO_RATE,
 ) -> InterleavedContext:
-    """Resample both streams to their slot counts and weave them together.
+    """Resample both streams to their slot counts under the rate's pattern.
 
-    Audio slot number j (counting audio positions from the start) receives
-    resampled audio row j; the video slot at position t receives resampled
+    Audio slot number j (counting audio positions from the start) holds
+    resampled audio row j; the video slot at position t holds resampled
     video row t - floor(t / stride), its rank among video positions.  Each
     stream may be omitted only when its slot count is zero.
     """
     slots = slot_pattern(length, audio_rate)
-    stride = (slots.videos_per_audio + 1) if slots.videos_per_audio is not None else 0
-
-    video_rows: np.ndarray | None = None
-    if slots.n_video > 0:
-        if video is None:
-            raise ValueError(f"video tokens required: pattern has {slots.n_video} video slots")
-        if video.modality != VIDEO:
-            raise ValueError(f"expected a video sequence, got modality {video.modality!r}")
-        video_rows = resample(video, slots.n_video).data
-    audio_rows: np.ndarray | None = None
-    if slots.n_audio > 0:
-        if audio is None:
-            raise ValueError(f"audio tokens required: pattern has {slots.n_audio} audio slots")
-        if audio.modality != AUDIO:
-            raise ValueError(f"expected an audio sequence, got modality {audio.modality!r}")
-        audio_rows = resample(audio, slots.n_audio).data
-
-    tokens: list[ContextToken] = []
-    for t in range(1, length + 1):
-        if slots.pattern[t - 1] == AUDIO:
-            j = t // stride  # t is divisible by stride, so this is ceil(t / stride)
-            tokens.append(
-                ContextToken(modality=AUDIO, source_index=j, vector=tuple(map(float, audio_rows[j - 1])))
-            )
-        else:
-            rank = t - (t // stride if stride else 0)
-            tokens.append(
-                ContextToken(modality=VIDEO, source_index=rank, vector=tuple(map(float, video_rows[rank - 1])))
-            )
     return InterleavedContext(
         length=length,
         audio_rate=audio_rate,
         videos_per_audio=slots.videos_per_audio,
         pattern=slots.pattern,
-        tokens=tuple(tokens),
+        video=_slot_rows(video, VIDEO, slots.n_video),
+        audio=_slot_rows(audio, AUDIO, slots.n_audio),
     )
+
+
+def _slot_rows(seq: TokenSequence | None, modality: str, n_slots: int) -> np.ndarray | None:
+    """``seq`` resampled to ``n_slots`` rows; None when the pattern has no such slot."""
+    if n_slots == 0:
+        return None
+    if seq is None:
+        raise ValueError(f"{modality} tokens required: pattern has {n_slots} {modality} slots")
+    if seq.modality != modality:
+        article = "an" if modality == AUDIO else "a"
+        raise ValueError(f"expected {article} {modality} sequence, got modality {seq.modality!r}")
+    return resample(seq, n_slots).data
 
 
 def save_tokens(seq: TokenSequence, path: str | Path, fmt: str = "json") -> None:
@@ -228,29 +233,36 @@ def save_tokens(seq: TokenSequence, path: str | Path, fmt: str = "json") -> None
 
 
 def load_tokens(path: str | Path, fmt: str = "json") -> TokenSequence:
-    """Read a token sequence written by :func:`save_tokens`."""
+    """Read a token sequence written by :func:`save_tokens`.
+
+    Every rejection is a ValueError that starts with ``{path}:``: malformed
+    JSON, a missing or mistyped field, a shape or size mismatch, or token
+    data that :class:`TokenSequence` refuses, such as a non-finite value.
+    """
     path = Path(path)
-    if fmt == "json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        for key in ("modality", "dim", "data"):
-            if key not in payload:
-                raise ValueError(f"{path}: missing field {key!r}")
-        data = np.asarray(payload["data"], dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != payload["dim"]:
-            raise ValueError(f"{path}: data shape {data.shape} does not match dim {payload['dim']}")
+    try:
+        if fmt == "json":
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            data = np.asarray(payload["data"], dtype=np.float64)
+            if data.ndim != 2 or data.shape[1] != payload["dim"]:
+                raise ValueError(f"data shape {data.shape} does not match dim {payload['dim']}")
+        elif fmt == "raw":
+            header_path = Path(str(path) + ".json")
+            if not header_path.exists():
+                raise ValueError(f"raw tokens need a header sidecar at {header_path}")
+            payload = json.loads(header_path.read_text(encoding="utf-8"))
+            raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+            expected = payload["length"] * payload["dim"]
+            if raw.size != expected:
+                raise ValueError(f"raw payload has {raw.size} floats, header promises {expected}")
+            data = raw.reshape(payload["length"], payload["dim"]).astype(np.float64)
+        else:
+            raise ValueError(f"unknown token format {fmt!r}; use 'json' or 'raw'")
         return TokenSequence(modality=payload["modality"], data=data)
-    if fmt == "raw":
-        header_path = Path(str(path) + ".json")
-        if not header_path.exists():
-            raise ValueError(f"{path}: raw tokens need a header sidecar at {header_path}")
-        header = json.loads(header_path.read_text(encoding="utf-8"))
-        raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-        expected = header["length"] * header["dim"]
-        if raw.size != expected:
-            raise ValueError(f"{path}: raw payload has {raw.size} floats, header promises {expected}")
-        data = raw.reshape(header["length"], header["dim"]).astype(np.float64)
-        return TokenSequence(modality=header["modality"], data=data)
-    raise ValueError(f"unknown token format {fmt!r}; use 'json' or 'raw'")
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_context(ctx: InterleavedContext, path: str | Path) -> None:
@@ -271,18 +283,18 @@ def save_context(ctx: InterleavedContext, path: str | Path) -> None:
 def load_context(path: str | Path) -> InterleavedContext:
     """Read a context written by :func:`save_context`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    tokens = tuple(
-        ContextToken(
-            modality=tok["modality"],
-            source_index=int(tok["source_index"]),
-            vector=tuple(float(x) for x in tok["vector"]),
-        )
-        for tok in payload["tokens"]
-    )
-    return InterleavedContext(
+    rows: dict[str, list] = {VIDEO: [], AUDIO: []}
+    for tok in payload["tokens"]:
+        rows.setdefault(tok["modality"], []).append(tok["vector"])
+    ctx = InterleavedContext(
         length=int(payload["length"]),
         audio_rate=float(payload["audio_rate"]),
         videos_per_audio=payload["videos_per_audio"],
         pattern=tuple(payload["pattern"]),
-        tokens=tokens,
+        video=np.array(rows[VIDEO], dtype=np.float64) if rows[VIDEO] else None,
+        audio=np.array(rows[AUDIO], dtype=np.float64) if rows[AUDIO] else None,
     )
+    slots = [(tok["modality"], int(tok["source_index"])) for tok in payload["tokens"]]
+    if slots != [(tok.modality, tok.source_index) for tok in ctx.tokens]:
+        raise ValueError(f"{path}: token modalities or source indices disagree with the pattern")
+    return ctx

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -308,21 +309,23 @@ def _video_from_row(row: dict) -> PseudoUntrimmedVideo:
     annotations_raw = row["annotations"]
     if len(segments_raw) != len(annotations_raw):
         raise ValueError("segment and annotation counts differ")
-    segments = tuple(
-        ScaledSegment(
-            clip_id=seg["clip_id"],
-            caption=ann["caption"],
-            scale_factor=float(seg["scale"]),
-            original_duration_s=float(seg["scaled_duration_s"]) / float(seg["scale"]),
-            scaled_duration_s=float(seg["scaled_duration_s"]),
+    segments = []
+    for seg, ann in zip(segments_raw, annotations_raw):
+        scale, scaled = _finite(seg, "scale"), _finite(seg, "scaled_duration_s")
+        segments.append(
+            ScaledSegment(
+                clip_id=seg["clip_id"],
+                caption=ann["caption"],
+                scale_factor=scale,
+                original_duration_s=scaled / scale,
+                scaled_duration_s=scaled,
+            )
         )
-        for seg, ann in zip(segments_raw, annotations_raw)
-    )
     annotations = tuple(
         TemporalAnnotation(
             caption=ann["caption"],
-            start_s=float(ann["start_s"]),
-            end_s=float(ann["end_s"]),
+            start_s=_finite(ann, "start_s"),
+            end_s=_finite(ann, "end_s"),
             segment_index=i,
         )
         for i, ann in enumerate(annotations_raw)
@@ -330,7 +333,14 @@ def _video_from_row(row: dict) -> PseudoUntrimmedVideo:
     return PseudoUntrimmedVideo(
         id=row["id"],
         source_cluster=int(row["cluster"]),
-        total_duration_s=float(row["total_duration_s"]),
-        segments=segments,
+        total_duration_s=_finite(row, "total_duration_s"),
+        segments=tuple(segments),
         annotations=annotations,
     )
+
+
+def _finite(row: dict, key: str) -> float:
+    value = float(row[key])
+    if not isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value

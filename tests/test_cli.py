@@ -191,6 +191,40 @@ def test_interleave_requires_a_stream(tmp_path):
     assert main(["interleave", "--out", str(tmp_path / "ctx.json")]) == 1
 
 
+def test_interleave_raw_header_without_length_names_file(tmp_path, caplog):
+    video, audio = token_files(tmp_path, fmt="raw")
+    header = tmp_path / "video.tokens.json"
+    header.write_text(json.dumps({"modality": "video", "dim": 8, "dtype": "<f4"}) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="avstitch.cli"):
+        code = main(["interleave", "--video", str(video), "--audio", str(audio),
+                     "--out", str(tmp_path / "ctx.json"), "--token-format", "raw"])
+    assert code == 1
+    assert f"{video}: missing field 'length'" in caplog.text
+
+
+def test_interleave_non_finite_json_tokens_name_file(tmp_path, caplog):
+    video, audio = token_files(tmp_path)
+    audio.write_text('{"modality": "audio", "dim": 2, "data": [[0.5, 1.0], [NaN, 2.0]]}\n', encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="avstitch.cli"):
+        code = main(["interleave", "--video", str(video), "--audio", str(audio),
+                     "--out", str(tmp_path / "ctx.json")])
+    assert code == 1
+    assert f"{audio}: token data contains non-finite values" in caplog.text
+    assert not (tmp_path / "ctx.json").exists()
+
+
+def test_interleave_raw_header_with_float_length_names_file(tmp_path, caplog):
+    video = tmp_path / "video.tokens"
+    video.write_bytes(b"\x00" * 32)
+    header = {"modality": "video", "length": 4.0, "dim": 2}
+    (tmp_path / "video.tokens.json").write_text(json.dumps(header) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="avstitch.cli"):
+        code = main(["interleave", "--video", str(video), "--token-format", "raw", "--audio-rate", "0",
+                     "--out", str(tmp_path / "ctx.json")])
+    assert code == 1
+    assert f"{video}: 'float' object cannot be interpreted as an integer" in caplog.text
+
+
 def test_interleave_zero_rate_video_only(tmp_path, capsys):
     video, _ = token_files(tmp_path)
     out = tmp_path / "ctx.json"

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from avstitch.interleave import (
+    AUDIO,
     DEFAULT_AUDIO_RATE,
     DEFAULT_CONTEXT_LEN,
+    VIDEO,
+    ContextToken,
     InterleavedContext,
     TokenSequence,
     interleave,
@@ -23,6 +28,29 @@ from avstitch.interleave import (
 def seq(modality: str, rows: int, dim: int = 3, seed: int = 0) -> TokenSequence:
     rng = np.random.default_rng(seed)
     return TokenSequence(modality=modality, data=rng.normal(size=(rows, dim)))
+
+
+def oracle_tokens(
+    video: TokenSequence | None, audio: TokenSequence | None, length: int, audio_rate: float
+) -> tuple[ContextToken, ...]:
+    """Test-only reference: the per-slot loop that interleave() used to run."""
+    slots = slot_pattern(length, audio_rate)
+    stride = (slots.videos_per_audio + 1) if slots.videos_per_audio is not None else 0
+    video_rows = resample(video, slots.n_video).data if slots.n_video else None
+    audio_rows = resample(audio, slots.n_audio).data if slots.n_audio else None
+    tokens: list[ContextToken] = []
+    for t in range(1, length + 1):
+        if slots.pattern[t - 1] == AUDIO:
+            j = t // stride  # t is divisible by stride, so this is ceil(t / stride)
+            tokens.append(
+                ContextToken(modality=AUDIO, source_index=j, vector=tuple(map(float, audio_rows[j - 1])))
+            )
+        else:
+            rank = t - (t // stride if stride else 0)
+            tokens.append(
+                ContextToken(modality=VIDEO, source_index=rank, vector=tuple(map(float, video_rows[rank - 1])))
+            )
+    return tuple(tokens)
 
 
 class TestDefaults:
@@ -295,5 +323,62 @@ class TestInterleavedContext:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             InterleavedContext(
-                length=3, audio_rate=0.0, videos_per_audio=None, pattern=("video",), tokens=()
+                length=3, audio_rate=0.0, videos_per_audio=None, pattern=("video",), video=None, audio=None
             )
+
+    def test_row_counts_must_match_pattern(self):
+        pattern = ("video", "video", "audio")
+        fields = dict(length=3, audio_rate=0.5, videos_per_audio=2, pattern=pattern)
+        InterleavedContext(**fields, video=np.zeros((2, 4)), audio=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="2 video slots but 3 video rows"):
+            InterleavedContext(**fields, video=np.zeros((3, 4)), audio=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="1 audio slots but 0 audio rows"):
+            InterleavedContext(**fields, video=np.zeros((2, 4)), audio=None)
+        with pytest.raises(ValueError, match="0 audio slots but 1 audio rows"):
+            InterleavedContext(
+                length=2, audio_rate=0.0, videos_per_audio=None, pattern=("video",) * 2,
+                video=np.zeros((2, 4)), audio=np.zeros((1, 4)),
+            )
+        with pytest.raises(ValueError, match="length"):
+            InterleavedContext(**{**fields, "pattern": ("video", "text", "audio")}, video=np.zeros((1, 4)),
+                               audio=np.zeros((1, 2)))
+
+    def test_tokens_match_per_slot_oracle(self):
+        rng = np.random.default_rng(2024)
+        rates = [0.0, 1.0, 0.05, 0.25, 0.3, 0.5] + [float(r) for r in rng.uniform(0.0, 1.0, size=34)]
+        for case, rate in enumerate(rates):
+            length = int(rng.integers(1, 257))
+            video_dim = int(rng.integers(1, 9))
+            audio_dim = video_dim if case % 2 else int(rng.integers(1, 9))
+            video = seq("video", int(rng.integers(1, 300)), dim=video_dim, seed=case)
+            audio = seq("audio", int(rng.integers(1, 300)), dim=audio_dim, seed=1000 + case)
+            ctx = interleave(video, audio, length=length, audio_rate=rate)
+            assert ctx.tokens == oracle_tokens(video, audio, length, rate), f"case {case}"
+            assert all(type(x) is float for tok in ctx.tokens[:3] for x in tok.vector)
+            slots = slot_pattern(length, rate)
+            for rows, source, n in ((ctx.video, video, slots.n_video), (ctx.audio, audio, slots.n_audio)):
+                if n == 0:
+                    assert rows is None
+                else:
+                    expected = resample(source, n).data
+                    assert rows.dtype == expected.dtype and rows.shape == expected.shape
+                    assert rows.tobytes() == expected.tobytes()
+
+    def test_context_round_trip_compares_tokens(self, tmp_path):
+        ctx = interleave(seq("video", 9, dim=4), seq("audio", 4, dim=2), length=12, audio_rate=0.25)
+        path = tmp_path / "context.json"
+        save_context(ctx, path)
+        loaded = load_context(path)
+        assert loaded == ctx and loaded.tokens == ctx.tokens
+        other = interleave(seq("video", 9, dim=4), seq("audio", 4, dim=2, seed=1), length=12, audio_rate=0.25)
+        assert loaded != other
+
+    def test_load_context_rejects_tokens_off_pattern(self, tmp_path):
+        ctx = interleave(seq("video", 9), seq("audio", 4), length=8, audio_rate=0.25)
+        path = tmp_path / "context.json"
+        save_context(ctx, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["tokens"][0]["source_index"] = 2
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="source indices disagree"):
+            load_context(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 
@@ -101,6 +102,49 @@ def test_interval_loader_rejects_non_finite_bound(tmp_path, kind, token):
     bad.write_text((row % 0).replace("@", valid) + "\n\n" + (row % 1).replace("@", token) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{bad}:3: interval bounds must be finite")):
         loader(bad)
+
+
+MANIFEST_NUMBERS = ["total_duration_s", "scale", "scaled_duration_s", "start_s", "end_s"]
+
+
+def manifest_row(token: str = "", fields: tuple[str, ...] = ()) -> str:
+    """A valid two-segment manifest row with ``token`` as the JSON of ``fields`` in its last segment."""
+    row = {
+        "id": "v",
+        "cluster": 0,
+        "total_duration_s": 5.0,
+        "segments": [{"clip_id": "a", "scale": 1.0, "scaled_duration_s": 2.0},
+                     {"clip_id": "b", "scale": 2.0, "scaled_duration_s": 3.0}],
+        "annotations": [{"caption": "x", "start_s": 0.0, "end_s": 2.0},
+                        {"caption": "y", "start_s": 2.0, "end_s": 5.0}],
+    }
+    for field in fields:
+        holder = row["annotations"][1] if field in ("start_s", "end_s") else row["segments"][1]
+        (row if field == "total_duration_s" else holder)[field] = "@"
+    return json.dumps(row).replace('"@"', token)
+
+
+@pytest.mark.parametrize("token", ["1e999", '"inf"'])
+@pytest.mark.parametrize("field", MANIFEST_NUMBERS)
+def test_manifest_loader_rejects_non_finite_number(tmp_path, field, token):
+    # an overflowing literal and a float() string both decode to inf
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(manifest_row() + "\n\n" + manifest_row(token, (field,)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {field} must be finite, got inf")):
+        load_manifest(path)
+
+
+def test_cli_genqa_rejects_infinite_manifest_segment(tmp_path, caplog):
+    # an infinite last segment ending at an infinite total passes every consistency check; gen-qa
+    # then died with an OverflowError traceback
+    path = tmp_path / "manifest.jsonl"
+    row = manifest_row("1e999", ("scaled_duration_s", "end_s", "total_duration_s"))
+    path.write_text(row + "\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="avstitch.cli"):
+        code = main(["gen-qa", "--manifest", str(path), "--out", str(tmp_path / "pairs.jsonl")])
+    assert code == 1
+    assert f"{path}:1: scaled_duration_s must be finite, got inf" in caplog.text
+    assert not (tmp_path / "pairs.jsonl").exists()
 
 
 def test_assignment_writes_non_ascii_ids_as_utf8(tmp_path):
